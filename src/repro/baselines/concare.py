@@ -5,9 +5,9 @@ then lets the per-feature summaries exchange information through
 multi-head self-attention, capturing cross-feature interdependencies.
 
 The per-feature GRUs are vectorized: all ``C`` single-input GRUs run as
-one stacked recurrence with per-feature weight slices, using the autodiff
-engine's batched matmul — equivalent to ``C`` independent GRUs but one
-Python loop over time instead of ``C`` of them.
+one sequence-fused scan (:func:`repro.nn.ops.perfeature_gru_scan`) with
+per-feature weight slices — equivalent to ``C`` independent GRUs, but the
+whole sequence is one graph node with a hand-derived backward.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ..nn.backend import xp as np
 
 from .. import nn
 from ..nn import ops
+from ..nn.dtype import get_default_dtype
 from ..nn.layers import MultiHeadSelfAttention
 from ..nn.inference import InferenceMixin
 from ..nn.module import Module, Parameter
@@ -24,10 +25,11 @@ __all__ = ["ConCare", "PerFeatureGRU"]
 
 
 class PerFeatureGRU(Module):
-    """C independent single-input GRUs computed as one stacked recurrence.
+    """C independent single-input GRUs computed as one fused scan.
 
     Input ``(B, T, C)`` -> output ``(B, C, H)``: the final hidden state of
-    feature *c*'s GRU over its scalar time series.
+    feature *c*'s GRU over its scalar time series.  Every timestep is
+    processed, padded ones included.
     """
 
     def __init__(self, num_features, hidden_size, rng):
@@ -44,56 +46,27 @@ class PerFeatureGRU(Module):
         self.bias = Parameter(np.zeros((num_features, 3 * hidden_size)))
 
     def forward(self, values):
-        batch, steps, _ = values.shape
-        # State laid out (C, B, H) so the stacked matmul batches over C.
-        h = self.initial_state(batch)
-        # Hoist every per-feature input projection out of the time loop:
-        # one broadcast (C, T, B, 1) @ (C, 1, 1, 3H) batched GEMM covers
-        # all timesteps (PR 10); the loop keeps only the recurrent GEMM.
-        # With K=1 the projection is an outer product — elementwise — so
-        # slicing a timestep out of the batched result is bit-identical
-        # to projecting that timestep alone (the streaming path relies
-        # on this).
-        x_all = values.transpose((2, 1, 0)).reshape(
-            self.num_features, steps, batch, 1)
-        gates_x = ops.matmul(x_all, self.w_ih.reshape(
-            self.num_features, 1, 1, 3 * self.hidden_size)) \
-            + self.bias.reshape(self.num_features, 1, 1,
-                                3 * self.hidden_size)
-        for t in range(steps):
-            h = self._recur_step(h, gates_x[:, t])
+        h0 = nn.Tensor(self.initial_state(values.shape[0]))
+        h = ops.perfeature_gru_scan(values, h0, self.w_ih, self.w_hh,
+                                    self.bias)
         return h.transpose((1, 0, 2))                    # (B, C, H)
-
-    def _recur_step(self, h, gates_x):
-        """Advance the stacked recurrence one step given the already-
-        projected input gates ``(C, B, 3H)``."""
-        gates_h = ops.matmul(h, self.w_hh)
-        zx, rx, nx = ops.split(gates_x, 3, axis=-1)
-        zh, rh, nh = ops.split(gates_h, 3, axis=-1)
-        update = ops.sigmoid(zx + zh)
-        reset = ops.sigmoid(rx + rh)
-        candidate = ops.tanh(nx + reset * nh)
-        return update * h + (1.0 - update) * candidate
 
     # -- streaming inference (serve tier) ------------------------------
     def initial_state(self, batch_size):
-        """Zero stacked state ``(C, B, H)`` for :meth:`stream_step`."""
-        return nn.Tensor(np.zeros(
-            (self.num_features, batch_size, self.hidden_size)))
+        """Zero stacked state ``(C, B, H)`` (policy dtype)."""
+        return np.zeros((self.num_features, batch_size, self.hidden_size),
+                        dtype=get_default_dtype())
 
     def stream_step(self, h, x_t):
-        """One stacked per-feature GRU step for one timestep slice.
+        """Advance the stacked state ``(C, B, H)`` by one ``(B, C)`` slice.
 
-        ``x_t`` is a ``(B, C)`` tensor; returns the new ``(C, B, H)``
-        state.  The input projection here is the single-timestep form of
-        the batched pre-loop projection in :meth:`forward` — with K=1
-        both are outer products, so the two paths agree bit-for-bit.
+        Inference-only, on plain arrays:
+        :func:`repro.nn.ops.perfeature_gru_scan_step` is bit-identical to
+        one step of the scan :meth:`forward` runs.
         """
-        batch = x_t.shape[0]
-        x_t = x_t.transpose().reshape(self.num_features, batch, 1)
-        gates_x = ops.matmul(x_t, self.w_ih) + self.bias.reshape(
-            self.num_features, 1, 3 * self.hidden_size)
-        return self._recur_step(h, gates_x)
+        x_t = np.asarray(x_t, dtype=get_default_dtype())
+        return ops.perfeature_gru_scan_step(x_t, h, self.w_ih.data,
+                                            self.w_hh.data, self.bias.data)
 
 
 class ConCare(Module, InferenceMixin):
@@ -131,8 +104,8 @@ class ConCare(Module, InferenceMixin):
         and the cross-feature attention head is constant in sequence
         length (it attends over features, not time).
         """
-        h = self.encoder.stream_step(state["h"], nn.Tensor(values_t))
-        summaries = h.transpose((1, 0, 2))                  # (B, C, H)
+        h = self.encoder.stream_step(state["h"], values_t)
+        summaries = nn.Tensor(h).transpose((1, 0, 2))       # (B, C, H)
         attended = self.attention(summaries)
         flat = attended.reshape(attended.shape[0],
                                 self.num_features * self.feature_hidden)

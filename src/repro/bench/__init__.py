@@ -18,6 +18,8 @@ single list check to un-profiled op calls.
 See docs/PERFORMANCE.md for the full guide.
 """
 
+import importlib
+
 from .profiler import OpStat, Profiler, profile
 from .report import render_table, write_report
 
@@ -27,6 +29,7 @@ __all__ = ["OpStat", "Profiler", "profile", "render_table", "write_report",
 
 def __getattr__(name):
     if name == "runner":
-        from . import runner
-        return runner
+        # ``from . import runner`` would probe this hook again before
+        # importing the submodule and recurse without end.
+        return importlib.import_module(".runner", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -59,13 +59,14 @@ __all__ = [
     "split", "unbind_time", "softmax", "log_softmax",
     "softmax_cross_entropy", "where", "dropout_mask", "pad_last",
     "outer_last", "embedding_lookup", "gru_step", "gru_scan", "lstm_scan",
-    "grud_scan", "stagenet_scan",
+    "grud_scan", "stagenet_scan", "perfeature_gru_scan",
 ]
 # gru_scan_step / lstm_scan_step / grud_scan_step / stagenet_scan_step /
-# linear_rows are deliberately NOT in __all__: they are inference-only
-# array kernels (no Tensor, no graph, no backward) behind the streaming
-# stream_step hooks, and __all__ doubles as the differentiable-op
-# registry contract (tests/nn/test_gradcheck_registry).
+# perfeature_gru_scan_step / linear_rows are deliberately NOT in __all__:
+# they are inference-only array kernels (no Tensor, no graph, no
+# backward) behind the streaming stream_step hooks, and __all__ doubles
+# as the differentiable-op registry contract
+# (tests/nn/test_gradcheck_registry).
 
 
 # ----------------------------------------------------------------------
@@ -854,14 +855,29 @@ def getitem(a, index):
     """Basic and advanced indexing; gradients scatter-add back."""
     a = as_tensor(a)
     out_data = a.data[index]
+    basic = _is_basic_index(index)
 
     def backward(grad):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, index, grad)
+            if basic:
+                # A basic index selects each element at most once, so a
+                # view add equals np.add.at bit for bit, minus its cost.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             a._accumulate(full, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
+
+
+def _is_basic_index(index):
+    """True when ``index`` holds only ints, slices, ``None`` and ``...``."""
+    items = index if isinstance(index, tuple) else (index,)
+    return builtins.all(
+        i is None or i is Ellipsis or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in items)
 
 
 @differentiable(lambda rng: [
@@ -1447,6 +1463,173 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
             b_hh._accumulate(dgh_2d.sum(axis=0), owned=True)
 
     return Tensor._make(out_data, (x, h0, w_ih, w_hh, b_ih, b_hh), backward)
+
+
+def _perfeature_gru_tail(gt, gh, h_prev, h_new, tmp):
+    """Gate tail shared by :func:`perfeature_gru_scan` and its step kernel.
+
+    ``gt`` holds the input gates ``(C, B, 3H)`` and is overwritten with
+    the activations ``[z | r | n]``; ``gh`` holds ``h_prev @ W_hh``.
+    One function for both callers is what keeps streaming bit-identical
+    to the full forward.
+    """
+    hidden = h_prev.shape[-1]
+    h2 = 2 * hidden
+    gt[..., :h2] += gh[..., :h2]
+    _sigmoid_into(gt[..., :h2], out=gt[..., :h2])
+    z = gt[..., :hidden]
+    r = gt[..., hidden:h2]
+    np.multiply(r, gh[..., h2:], out=tmp)
+    n = gt[..., h2:]
+    n += tmp
+    np.tanh(n, out=n)
+    np.subtract(h_prev, n, out=h_new)        # z*h + (1-z)*n
+    h_new *= z
+    h_new += n
+
+
+def _perfeature_gru_scan_sample(rng):
+    channels, batch, steps, hidden = 3, 2, 3, 2
+
+    def arrays(batch=batch, steps=steps):
+        return (rng.normal(size=(batch, steps, channels)),
+                rng.normal(size=(channels, batch, hidden)),
+                rng.normal(size=(channels, 1, 3 * hidden)) * 0.5,
+                rng.normal(size=(channels, hidden, 3 * hidden)) * 0.5,
+                rng.normal(size=(channels, 3 * hidden)) * 0.1)
+
+    def build(x, h, wi, wh, b):
+        return _sqsum(perfeature_gru_scan(x, h, wi, wh, b))
+
+    return [OpSample(build, *arrays()),
+            OpSample(build, *arrays(batch=1, steps=1))]
+
+
+@differentiable(_perfeature_gru_scan_sample)
+def perfeature_gru_scan(x, h0, w_ih, w_hh, bias):
+    """``C`` independent single-input GRUs over a ``(B, T, C)`` sequence.
+
+    :func:`gru_scan` with a leading independent-feature axis: feature
+    ``c``'s scalar series ``x[:, :, c]`` drives its own GRU with input
+    weights ``w_ih[c]`` ``(1, 3H)``, recurrent weights ``w_hh[c]``
+    ``(H, 3H)`` and one gate bias ``bias[c]`` ``(3H,)`` (gate layout
+    ``[update z | reset r | candidate n]``, candidate
+    ``tanh(n_x + r * n_h)``).  ``h0`` and the result are the stacked
+    final states ``(C, B, H)``.
+
+    The whole sequence is one graph node.  The input projection of every
+    timestep is one outer product plus bias up front; the loop runs one
+    batched ``(C, B, H) @ (C, H, 3H)`` GEMM per step and writes the gate
+    tail through out= ufuncs into preallocated stacks.  The hand-derived
+    backward replays the loop in reverse, then forms the ``w_hh``
+    gradient as one batched GEMM over ``T * B`` and the ``w_ih``,
+    ``bias`` and input gradients in one pass each.
+    """
+    x, h0 = as_tensor(x), as_tensor(h0)
+    w_ih, w_hh, bias = as_tensor(w_ih), as_tensor(w_hh), as_tensor(bias)
+    if x.data.ndim != 3:
+        raise ValueError(f"perfeature_gru_scan expects (batch, steps, "
+                         f"features) input, got shape {x.shape}")
+    batch, steps, channels = x.shape
+    hidden = h0.shape[-1]
+    h2, h3 = 2 * hidden, 3 * hidden
+    if h0.shape != (channels, batch, hidden) \
+            or w_ih.shape != (channels, 1, h3) \
+            or w_hh.shape != (channels, hidden, h3) \
+            or bias.shape != (channels, h3):
+        raise ValueError(
+            f"perfeature_gru_scan shapes do not line up: x {x.shape}, "
+            f"h0 {h0.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
+            f"bias {bias.shape}")
+
+    # Time-major gate stack (T, C, B, 3H): each step's slab is contiguous
+    # and laid out exactly as the step kernel's, and it is overwritten in
+    # place with the gate activations the backward needs.
+    gates = x.data.transpose(1, 2, 0)[..., None] * w_ih.data
+    gates += bias.data[:, None, :]
+    dt = gates.dtype
+
+    needs_grad = is_grad_enabled() and any(
+        p.requires_grad for p in (x, h0, w_ih, w_hh, bias))
+    # Feature-major state stack (C, T+1, B, H): the w_hh gradient then
+    # reads h_0..h_{T-1} as a (C, T*B, H) view.
+    h_stack = np.empty((channels, steps + 1, batch, hidden), dtype=dt)
+    h_stack[:, 0] = h0.data
+    if needs_grad:
+        nhs = np.empty((steps, channels, batch, hidden), dtype=dt)
+    w_hh_d = w_hh.data
+    gh = np.empty((channels, batch, h3), dtype=dt)
+    tmp = np.empty((channels, batch, hidden), dtype=dt)
+    for t in range(steps):
+        np.matmul(h_stack[:, t], w_hh_d, out=gh)
+        if needs_grad:
+            nhs[t] = gh[..., h2:]
+        _perfeature_gru_tail(gates[t], gh, h_stack[:, t], h_stack[:, t + 1],
+                             tmp)
+    out_data = h_stack[:, steps].copy()
+
+    def backward(grad):
+        w_hh_t = np.ascontiguousarray(w_hh_d.swapaxes(-1, -2))
+        # Gate gradients feature-major (C, T, B, 3H) so every reduction
+        # below reads them as a (C, T*B, 3H) view.
+        dgx = np.empty((channels, steps, batch, h3), dtype=dt)
+        dgh = np.empty_like(dgx)
+        dh = grad.copy()
+        om = np.empty((channels, batch, hidden), dtype=dt)
+        for t in range(steps - 1, -1, -1):
+            g_act = gates[t]
+            z = g_act[..., :hidden]
+            r = g_act[..., hidden:h2]
+            n = g_act[..., h2:]
+            dgx_t, dgh_t = dgx[:, t], dgh[:, t]
+            d_z = dgx_t[..., :hidden]
+            d_r = dgx_t[..., hidden:h2]
+            d_n = dgx_t[..., h2:]
+            np.subtract(1.0, z, out=om)              # 1 - z
+            np.multiply(n, n, out=d_n)               # d_n_pre
+            np.subtract(1.0, d_n, out=d_n)
+            d_n *= dh
+            d_n *= om
+            np.subtract(h_stack[:, t], n, out=d_z)   # d_z_pre
+            d_z *= dh
+            d_z *= z
+            d_z *= om
+            np.subtract(1.0, r, out=om)              # buffer becomes 1-r
+            np.multiply(d_n, nhs[t], out=d_r)        # d_r_pre
+            d_r *= r
+            d_r *= om
+            # h-side gates differ only in the candidate block (scaled by
+            # the reset gate).
+            dgh_t[..., :h2] = dgx_t[..., :h2]
+            np.multiply(d_n, r, out=dgh_t[..., h2:])
+            carry = np.matmul(dgh_t, w_hh_t)
+            dh *= z
+            carry += dh
+            dh = carry
+        dgx_c = dgx.reshape(channels, steps * batch, h3)
+        if x.requires_grad:
+            dx = np.matmul(dgx_c, w_ih.data.swapaxes(-1, -2))
+            x._accumulate(np.ascontiguousarray(
+                dx.reshape(channels, steps, batch).transpose(2, 1, 0)),
+                owned=True)
+        if h0.requires_grad:
+            h0._accumulate(dh, owned=True)
+        if w_ih.requires_grad:
+            x_c = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+            w_ih._accumulate(
+                np.matmul(x_c.reshape(channels, 1, steps * batch), dgx_c),
+                owned=True)
+        if w_hh.requires_grad:
+            h_prev = h_stack[:, :steps].reshape(channels, steps * batch,
+                                                hidden)
+            w_hh._accumulate(
+                np.matmul(h_prev.swapaxes(-1, -2),
+                          dgh.reshape(channels, steps * batch, h3)),
+                owned=True)
+        if bias.requires_grad:
+            bias._accumulate(dgx_c.sum(axis=1), owned=True)
+
+    return Tensor._make(out_data, (x, h0, w_ih, w_hh, bias), backward)
 
 
 def _lstm_scan_sample(rng):
@@ -2210,6 +2393,24 @@ def gru_scan_step(x_t, h, w_ih, w_hh, b_ih, b_hh):
     h_new = np.subtract(h, n)                # z*h + (1-z)*n
     h_new *= z
     h_new += n
+    return h_new
+
+
+def perfeature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
+    """One inference-only step of :func:`perfeature_gru_scan`.
+
+    Plain arrays in and out: ``x_t`` is ``(batch, C)``, ``h`` the stacked
+    state ``(C, batch, H)``; returns the new state.  The input projection
+    is the same elementwise outer product the scan computes up front and
+    the gate tail is the scan's own, so a sequence fed one step at a time
+    reproduces the scan bit-for-bit at every prefix (see
+    :func:`gru_scan_step`).
+    """
+    gt = x_t.T[..., None] * w_ih
+    gt += bias[:, None, :]
+    gh = np.matmul(h, w_hh)
+    h_new = np.empty_like(h)
+    _perfeature_gru_tail(gt, gh, h, h_new, np.empty_like(h))
     return h_new
 
 

@@ -43,6 +43,46 @@ class TestShapesAndErrors:
         assert np.allclose(table.grad[0], 0.0)
 
 
+def _getitem_grad(data, index, upstream):
+    """``a.grad`` after backpropagating ``upstream`` through ``a[index]``."""
+    a = nn.Tensor(data, requires_grad=True)
+    (ops.getitem(a, index) * upstream).sum().backward()
+    return a.grad
+
+
+class TestGetitemBackward:
+    """Basic indices scatter with a view add, advanced ones with add.at."""
+
+    @pytest.mark.parametrize("index", [
+        (slice(1, None), slice(None, 2)),
+        (slice(None), slice(None, None, -1)),
+        (Ellipsis, 1),
+        (None, slice(None), np.int64(2)),
+        1,
+        (),
+    ], ids=["slices", "reversed", "ellipsis-int", "newaxis-npint", "int",
+            "empty"])
+    def test_basic_index_matches_add_at_bitwise(self, index):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(3, 4))
+        upstream = rng.normal(size=data[index].shape)
+        upstream.flat[0] = -0.0
+        grad = _getitem_grad(data, index, upstream)
+        expected = np.zeros_like(grad)
+        np.add.at(expected, index, upstream.astype(grad.dtype))
+        assert grad.tobytes() == expected.tobytes()
+
+    def test_repeated_advanced_index_accumulates(self):
+        grad = _getitem_grad(np.zeros((3, 2)), np.array([0, 2, 2]),
+                             np.ones((3, 2)))
+        assert np.array_equal(grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+    def test_mixed_index_with_repeats_accumulates(self):
+        grad = _getitem_grad(np.zeros((2, 3)),
+                             (slice(None), [1, 1]), np.ones((2, 2)))
+        assert np.array_equal(grad, [[0.0, 2.0, 0.0], [0.0, 2.0, 0.0]])
+
+
 class TestNumericalStability:
     def test_softmax_extreme_logits(self):
         x = nn.Tensor(np.array([[1000.0, -1000.0, 0.0]]))
