@@ -2,7 +2,7 @@
 
 ConCare processes *each medical feature separately* with its own GRU and
 then lets the per-feature summaries exchange information through
-multi-head self-attention, capturing cross-feature interdependencies.
+multi-head self-attention, modelling cross-feature interdependencies.
 
 The per-feature GRUs are vectorized: all ``C`` single-input GRUs run as
 one sequence-fused scan (:func:`repro.nn.ops.perfeature_gru_scan`) with

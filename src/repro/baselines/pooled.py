@@ -28,7 +28,7 @@ def pooled_input(batch):
     """Mean over time of the standardized, imputed values: (B, C).
 
     Routed through :func:`repro.nn.ops.mean` (not raw array math) so the
-    pooling is visible to inference graph capture.
+    profiler attributes the pooling like any other op.
     """
     return ops.mean(nn.Tensor(batch.values), axis=1)
 

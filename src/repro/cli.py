@@ -151,15 +151,8 @@ def build_parser():
                        help="benchmark streaming inference (full prefix "
                             "recompute vs StreamingSession.step per "
                             "observation) instead of training")
-    bench.add_argument("--capture", action="store_true",
-                       help="benchmark inference graph capture instead of "
-                            "training: eager vs replay latency at several "
-                            "batch sizes")
-    bench.add_argument("--batch-sizes", default="1,32,64", metavar="LIST",
-                       help="comma-separated forward batch sizes for the "
-                            "--capture lane")
     bench.add_argument("--repeats", type=int, default=30,
-                       help="timed iterations per --capture lane")
+                       help="timed iterations per --streaming lane")
     bench.add_argument("--unfused", action="store_true",
                        help="run the unfused reference GRU kernels "
                        "(baseline for before/after comparisons)")
@@ -195,12 +188,6 @@ def build_parser():
                          choices=("physionet2012", "mimic3"))
     predict.add_argument("--split", default="test",
                          choices=("train", "validation", "test"))
-    predict.add_argument("--capture", nargs="?", const="on",
-                         choices=("on", "off", "auto"), default="auto",
-                         help="captured graph replay: 'on'/'off' force and "
-                              "persist the preference into the run dir; "
-                              "'auto' (default) restores the run dir's "
-                              "setting; bare --capture means 'on'")
     predict.add_argument("--limit", type=int, default=10, metavar="N",
                          help="print at most N rows (0 = all)")
 
@@ -222,12 +209,6 @@ def build_parser():
                             "dir's persisted serve block)")
     serve.add_argument("--max-wait-ms", type=float, default=None,
                        help="ServeConfig.max_wait_ms (default: persisted)")
-    serve.add_argument("--capture", nargs="?", const="on",
-                       choices=("on", "off", "auto"), default="auto",
-                       help="captured graph replay: 'on'/'off' force and "
-                            "persist the preference into the run dir; "
-                            "'auto' (default) restores the run dir's "
-                            "setting; bare --capture means 'on'")
     serve.add_argument("--cache-capacity", type=int, default=None,
                        help="ServeConfig.cache_capacity (default: persisted)")
     serve.add_argument("--seed", type=int, default=0)
@@ -262,10 +243,6 @@ def build_parser():
     loadtest.add_argument("--cache-capacity", type=int, default=None,
                           help="ServeConfig.cache_capacity: per-worker "
                                "session store size (default: persisted)")
-    loadtest.add_argument("--capture", nargs="?", const="on",
-                          choices=("on", "off", "auto"), default="auto",
-                          help="captured graph replay in the workers "
-                               "('auto' restores the run dir's setting)")
     loadtest.add_argument("--requests", type=int, default=64,
                           help="stateless predict requests to send")
     loadtest.add_argument("--streams", type=int, default=8,
@@ -450,8 +427,6 @@ def _cmd_bench(args, out):
 
     if args.shards:
         return _cmd_bench_shards(args, out)
-    if args.capture:
-        return _cmd_bench_capture(args, out)
     if args.streaming:
         return _cmd_bench_streaming(args, out)
     result = benchmark_training(
@@ -480,46 +455,6 @@ def _cmd_bench(args, out):
         extra["seconds_per_batch"] = result["seconds_per_batch"]
         path = profiler.save(directory=args.out, extra=extra)
         out.write(f"\nreport written to {path}\n")
-    return 0
-
-
-def _cmd_bench_capture(args, out):
-    """``repro bench --capture``: eager vs replay inference latency.
-
-    Captures one graph per batch size, checks bit-identity against the
-    eager forward, and reports median steady-state latency per path.
-    """
-    import json
-    import time
-    from pathlib import Path
-
-    from .bench.report import _slug
-    from .bench.runner import benchmark_capture
-
-    batch_sizes = tuple(int(b) for b in str(args.batch_sizes).split(",") if b)
-    result = benchmark_capture(
-        model_name=args.model, num_admissions=args.admissions,
-        seed=args.seed, batch_sizes=batch_sizes, repeats=args.repeats,
-        dtype=args.dtype)
-    config = result["config"]
-    out.write(f"{args.model} inference capture ({config['dtype']}, "
-              f"{config['captured_thunks']} replay thunks for "
-              f"{config['captured_steps']} traced ops)\n")
-    out.write("  batch    eager ms   replay ms   speedup\n")
-    for batch_size, lane in sorted(result["lanes"].items()):
-        out.write(f"  {batch_size:>5}  {lane['eager_seconds'] * 1e3:9.3f}  "
-                  f"{lane['replay_seconds'] * 1e3:10.3f}  "
-                  f"{lane['speedup']:6.2f}x\n")
-    if not args.no_json:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        payload = dict(config)
-        payload["lanes"] = {str(k): v for k, v in result["lanes"].items()}
-        payload["created"] = stamp
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"BENCH_capture-{_slug(args.model)}_{stamp}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        out.write(f"report written to {path}\n")
     return 0
 
 
@@ -626,38 +561,20 @@ def _cmd_bench_shards(args, out):
     return 0
 
 
-def _capture_override(value):
-    """Map the tri-state ``--capture {on,off,auto}`` flag to bool-or-None."""
-    return {"on": True, "off": False, "auto": None}[value]
-
-
-def _serve_config_overrides(args, *fields):
-    """ServeConfig overrides explicitly given on the command line.
-
-    Flags default to ``None`` so the run directory's persisted ``serve``
-    block stays authoritative unless the user says otherwise; the
-    tri-state ``--capture`` contributes only when not ``auto``.
-    """
-    overrides = {name: getattr(args, name) for name in fields
-                 if getattr(args, name) is not None}
-    capture = _capture_override(args.capture)
-    if capture is not None:
-        overrides["capture"] = capture
-    return overrides
-
-
 def _resolve_serve_config(args, *fields):
     """The effective ServeConfig for a run-dir command, or ``None``.
 
-    ``None`` means "no explicit choice" — ``Predictor.load`` (and the
-    pool) then restore the persisted block without rewriting it.
+    Flags default to ``None``; ``None`` overall means "no explicit
+    choice" — ``Predictor.load`` (and the pool) then restore the
+    persisted ``serve`` block without rewriting it.
     """
     import json as json_module
     from pathlib import Path
 
     from .serve import ServeConfig
 
-    overrides = _serve_config_overrides(args, *fields)
+    overrides = {name: getattr(args, name) for name in fields
+                 if getattr(args, name) is not None}
     if not overrides:
         return None
     config_path = Path(args.run_dir) / "config.json"
@@ -672,8 +589,7 @@ def _cmd_predict(args, out):
     from .data import load_cohort
     from .serve import Predictor
 
-    predictor = Predictor.load(args.run_dir, checkpoint=args.checkpoint,
-                               config=_resolve_serve_config(args))
+    predictor = Predictor.load(args.run_dir, checkpoint=args.checkpoint)
     splits = load_cohort(args.cohort, scale=args.scale)
     dataset = getattr(splits, args.split)
     probabilities = predictor.predict_proba(dataset)

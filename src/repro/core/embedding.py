@@ -63,10 +63,10 @@ class _NumericEmbedding(Module):
         """
         x = nn.as_tensor(x)
         embedded = self._value_embedding(x)
-        # Both masks below flow through op-layer indicators (not raw
-        # array math) so inference graph capture sees them recompute per
-        # batch; the never-observed routing is branch-free for the same
-        # reason (an all-false where is a bitwise identity).
+        # Both masks below are op-layer indicators (not raw array math),
+        # so the profiler charges them to this module; the never-observed
+        # routing is branch-free (an all-false where is a bitwise
+        # identity), so every batch runs the same ops.
         if self.star:
             zero = ops.reshape(ops.abs_lt(x, _ZERO_TOL), x.shape + (1,))
             ones = nn.Tensor(np.ones(embedded.shape))

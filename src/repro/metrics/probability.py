@@ -3,9 +3,7 @@
 The training engine, the evaluation helpers, and the CLI all need the
 same three pieces of arithmetic — a numerically stable softmax, a
 sigmoid, and the clipped multi-class log-loss.  They live here once so
-the engine's evaluation path and any reporting code agree bit-for-bit
-(they used to be re-implemented inline in ``Trainer.predict_proba`` /
-``Trainer.evaluate``).
+the engine's evaluation path and any reporting code agree bit-for-bit.
 """
 
 from __future__ import annotations

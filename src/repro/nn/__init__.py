@@ -12,12 +12,9 @@ primitive in :mod:`repro.nn.ops` is registered with sample inputs that an
 exhaustive test sweep gradchecks mechanically (see docs/CORRECTNESS.md).
 """
 
-from . import backend, capture, debug, dtype, gradcheck, init, losses, ops, \
+from . import backend, debug, dtype, gradcheck, init, losses, ops, \
     schedules
 from .backend import available_backends, get_backend, set_backend
-from .capture import (CaptureBatch, CaptureError, CaptureShapeError,
-                      CaptureUnsupportedError, CapturedGraph)
-from .capture import trace as capture_trace
 from .debug import AnomalyError, audit_backward, detect_anomaly
 from .dtype import autocast, get_default_dtype, set_default_dtype
 from .gradcheck import GradcheckFailure, check_module
@@ -36,8 +33,6 @@ __all__ = [
     "detect_anomaly", "AnomalyError", "audit_backward",
     "check_module", "GradcheckFailure",
     "get_backend", "set_backend", "available_backends",
-    "CaptureBatch", "CapturedGraph", "capture_trace",
-    "CaptureError", "CaptureShapeError", "CaptureUnsupportedError",
     "ops", "init", "losses", "schedules", "gradcheck", "debug", "dtype",
-    "backend", "capture",
+    "backend",
 ]

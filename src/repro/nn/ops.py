@@ -48,7 +48,6 @@ from collections import OrderedDict
 from .backend import xp as np
 
 from ..bench import _hooks as _bench_hooks
-from . import _capture_hooks
 from .tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
@@ -126,15 +125,12 @@ def differentiable(sample_factory=None):
     def decorate(fn):
         name = fn.__name__
         active_profilers = _bench_hooks._PROFILERS  # bound once; shared list
-        active_tracers = _capture_hooks._TRACERS    # bound once; shared list
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            # Fast path: two truthiness checks when nothing observes.
+            # Fast path: one truthiness check when no profiler observes.
             if active_profilers:
                 return _bench_hooks.call_op(name, fn, args, kwargs)
-            if active_tracers:
-                return _capture_hooks.call_op(name, fn, args, kwargs)
             return fn(*args, **kwargs)
 
         _REGISTRY[name] = OpSpec(name, wrapper, sample_factory)
@@ -328,9 +324,9 @@ def abs_lt(a, threshold):
     """Indicator ``|a| < threshold`` as a 0/1 tensor of ``a``'s dtype.
 
     Non-differentiable (zero gradient everywhere, like a constant):
-    exists so mask-style conditions derived from tensor values flow
-    through the op layer — and therefore through graph capture — instead
-    of being computed with raw numpy and baked stale into a trace.
+    exists so mask-style conditions derived from tensor values stay in
+    the op layer, where the profiler attributes them and the policy dtype
+    is kept, instead of being computed with raw numpy beside it.
     """
     a = as_tensor(a)
     dt = a.data.dtype
@@ -428,8 +424,7 @@ def where(condition, a, b):
 
     ``condition`` is not differentiated through: a constant boolean
     array, or a tensor (e.g. an :func:`abs_lt` indicator) whose non-zero
-    entries select ``a`` — routing dynamic conditions through tensors
-    keeps them visible to graph capture.
+    entries select ``a``.
     """
     if isinstance(condition, Tensor):
         condition = condition.data

@@ -205,9 +205,7 @@ class MicroBatcher:
         ``max_wait_ms`` is how long the worker holds an under-full
         batch open after its first request arrived (smaller favors
         latency, larger favors occupancy/throughput).  Defaults to the
-        predictor's own config.  The pre-ServeConfig keyword spellings
-        (``max_batch_size=``, ``max_wait_ms=``) still work with a
-        :class:`DeprecationWarning`.
+        predictor's own config.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; receives one
         ``record_request`` per response (queue-to-response latency) on
@@ -216,11 +214,9 @@ class MicroBatcher:
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     """
 
-    def __init__(self, predictor, config=None, *, metrics=None, **legacy):
-        self.config = resolve_config(config, legacy, owner="MicroBatcher",
+    def __init__(self, predictor, config=None, *, metrics=None):
+        self.config = resolve_config(config, owner="MicroBatcher",
                                      base=getattr(predictor, "config", None))
-        if self.config.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
         self.predictor = predictor
         self.max_batch_size = self.config.max_batch_size
         self.max_wait_ms = self.config.max_wait_ms

@@ -1,24 +1,18 @@
 """One serving configuration object: :class:`ServeConfig`.
 
-The serving stack grew one keyword at a time — ``batch_size`` on the
-:class:`~repro.serve.Predictor`, ``max_batch_size``/``max_wait_ms`` on
-the :class:`~repro.serve.MicroBatcher`, ``capacity`` on the
-:class:`~repro.serve.PreprocessCache`, ``capture``/``max_captures`` for
-graph capture, and now pool sizing and deadlines for the replica pool.
-:class:`ServeConfig` consolidates all of them into a single frozen
-dataclass that every serving component accepts as its first
-configuration argument, that round-trips through JSON, and that training
-run directories persist as the ``serve`` block of ``config.json`` (so
-``Predictor.load`` restores a run's serving preferences).
-
-The old per-component keywords keep working through
-:func:`resolve_config` shims that emit a ``DeprecationWarning`` naming
-the new spelling; see docs/API.md for the migration table.
+:class:`ServeConfig` holds the knobs of every serving component —
+bulk chunking for the :class:`~repro.serve.Predictor`, coalescing for
+the :class:`~repro.serve.MicroBatcher`, capacity for the
+:class:`~repro.serve.PreprocessCache`, and pool sizing and deadlines for
+the replica pool — in a single frozen dataclass that every serving
+component accepts as its first configuration argument, that round-trips
+through JSON, and that training run directories persist as the
+``serve`` block of ``config.json`` (so ``Predictor.load`` restores a
+run's serving preferences).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = ["ServeConfig", "resolve_config"]
@@ -45,12 +39,6 @@ class ServeConfig:
     cache_capacity:
         LRU capacity shared by the preprocessing cache and the
         streaming session store (entries, per component).
-    capture:
-        Tri-state inference graph capture: ``None`` inherits the run
-        directory's persisted preference (off when absent), ``True`` /
-        ``False`` force it.
-    max_captures:
-        Shape budget for captured graphs per predictor.
     workers:
         Replica-pool size — number of worker processes, each holding a
         shared-nothing model replica.
@@ -67,15 +55,13 @@ class ServeConfig:
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     cache_capacity: int = 4096
-    capture: bool | None = None
-    max_captures: int = 8
     workers: int = 2
     deadline_ms: float | None = None
     queue_depth: int = 128
 
     def __post_init__(self):
         for name in ("batch_size", "max_batch_size", "cache_capacity",
-                     "max_captures", "workers", "queue_depth"):
+                     "workers", "queue_depth"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 object.__setattr__(self, name, int(value))
@@ -90,8 +76,6 @@ class ServeConfig:
             if self.deadline_ms <= 0:
                 raise ValueError("ServeConfig.deadline_ms must be > 0 "
                                  "(use None to disable deadlines)")
-        if self.capture is not None and not isinstance(self.capture, bool):
-            object.__setattr__(self, "capture", bool(self.capture))
 
     # ------------------------------------------------------------------
     # Derivation / serialization
@@ -139,56 +123,16 @@ class ServeConfig:
         return cls.from_dict(serve_block)
 
 
-# Legacy keyword -> ServeConfig field. Keys are the historical spellings
-# accepted by the pre-ServeConfig constructors.
-_LEGACY_SPELLINGS = {
-    "batch_size": "batch_size",
-    "max_batch_size": "max_batch_size",
-    "max_wait_ms": "max_wait_ms",
-    "capacity": "cache_capacity",
-    "cache_capacity": "cache_capacity",
-    "capture": "capture",
-    "max_captures": "max_captures",
-    "workers": "workers",
-    "deadline_ms": "deadline_ms",
-    "queue_depth": "queue_depth",
-}
+def resolve_config(config, owner, base=None):
+    """The :class:`ServeConfig` a serving component runs with.
 
-
-def resolve_config(config, legacy, owner, base=None):
-    """Merge a ``config`` argument and legacy keywords into a ServeConfig.
-
-    ``legacy`` is the ``**kwargs`` dict a serving constructor collected;
-    each recognized key maps onto its :class:`ServeConfig` field and
-    emits one ``DeprecationWarning`` naming the new spelling.  Unknown
-    keys raise ``TypeError`` exactly like a normal bad keyword would.
-    Passing both ``config`` and legacy keywords is ambiguous and raises.
-    ``base`` seeds the defaults when neither is given (e.g. a
-    MicroBatcher inheriting its predictor's config).
+    ``config`` must be a ServeConfig or ``None``; ``None`` falls back to
+    ``base`` (e.g. a MicroBatcher inheriting its predictor's config),
+    then to the defaults.
     """
-    legacy = dict(legacy or {})
-    unknown = [k for k in legacy if k not in _LEGACY_SPELLINGS]
-    if unknown:
-        raise TypeError(f"{owner}() got unexpected keyword argument(s) "
-                        f"{sorted(unknown)}")
-    if config is not None and legacy:
-        raise TypeError(
-            f"{owner}() received both config=ServeConfig(...) and legacy "
-            f"keyword(s) {sorted(legacy)}; move them into the config")
-    if config is not None:
-        if not isinstance(config, ServeConfig):
-            raise TypeError(f"{owner}() config must be a ServeConfig, "
-                            f"got {type(config).__name__}")
-        return config
-    resolved = base if base is not None else ServeConfig()
-    if legacy:
-        spellings = ", ".join(
-            f"{key}= -> ServeConfig({_LEGACY_SPELLINGS[key]}=...)"
-            for key in sorted(legacy))
-        warnings.warn(
-            f"passing {sorted(legacy)} directly to {owner}() is deprecated; "
-            f"use {owner}(config=ServeConfig(...)) — {spellings}",
-            DeprecationWarning, stacklevel=3)
-        resolved = resolved.replace(
-            **{_LEGACY_SPELLINGS[k]: v for k, v in legacy.items()})
-    return resolved
+    if config is None:
+        return base if base is not None else ServeConfig()
+    if not isinstance(config, ServeConfig):
+        raise TypeError(f"{owner}() config must be a ServeConfig, "
+                        f"got {type(config).__name__}")
+    return config

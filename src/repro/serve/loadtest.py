@@ -94,7 +94,7 @@ async def _drive(frontend, predict_rows, stream_jobs, concurrency):
 def run_loadtest(run_dir, checkpoint="best", config=None, *,
                  num_requests=64, num_streams=8, stream_steps=4,
                  concurrency=16, max_seconds=120.0, seed=0,
-                 out_dir=None, label=None, **legacy):
+                 out_dir=None, label=None):
     """Drive a replica pool and return the loadtest report dict.
 
     ``max_seconds`` is a hard watchdog on the whole drive phase — a hung
@@ -111,8 +111,7 @@ def run_loadtest(run_dir, checkpoint="best", config=None, *,
     if config_path.exists():
         base = ServeConfig.from_run_config(
             json.loads(config_path.read_text()))
-    config = resolve_config(config, legacy, owner="run_loadtest",
-                            base=base)
+    config = resolve_config(config, owner="run_loadtest", base=base)
     predict_rows, stream_jobs = _workload(num_requests, num_streams,
                                           stream_steps, seed)
     metrics = ServeMetrics(label=label or f"loadtest-{Path(run_dir).name}")

@@ -3,8 +3,7 @@
 One Python process tops out at one GIL's worth of request handling; the
 :class:`ReplicaPool` forks ``workers`` OS processes, each rebuilding the
 model from the run directory's pickled
-:class:`~repro.baselines.ModelSpec` + checkpoint (capture-aware, so each
-replica replays the inference graph independently) and serving from its
+:class:`~repro.baselines.ModelSpec` + checkpoint and serving from its
 own :class:`~repro.serve.SessionStore`.  The parent process never holds
 the model — it only routes:
 
@@ -188,8 +187,7 @@ class ReplicaPool:
         ``queue_depth`` bounds in-flight requests, ``max_batch_size`` is
         each worker's padded forward shape, ``cache_capacity`` sizes the
         per-worker session stores.  Defaults to the run directory's
-        persisted ``serve`` block.  The pre-ServeConfig ``workers=``
-        keyword still works with a :class:`DeprecationWarning`.
+        persisted ``serve`` block.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; per-request
         latencies accumulate live, worker-side counters merge in at
@@ -201,7 +199,7 @@ class ReplicaPool:
     """
 
     def __init__(self, run_dir, checkpoint="best", config=None, *,
-                 metrics=None, **legacy):
+                 metrics=None):
         self.run_dir = Path(run_dir)
         self.checkpoint = checkpoint
         base = None
@@ -209,8 +207,7 @@ class ReplicaPool:
         if config_path.exists():
             base = ServeConfig.from_run_config(
                 json.loads(config_path.read_text()))
-        self.config = resolve_config(config, legacy, owner="ReplicaPool",
-                                     base=base)
+        self.config = resolve_config(config, owner="ReplicaPool", base=base)
         self.metrics = metrics if metrics is not None else ServeMetrics(
             label=f"pool-{self.run_dir.name}")
         self.workers = self.config.workers

@@ -10,8 +10,8 @@ touched; forwards run in ``eval()`` mode under ``no_grad``.
 Two batching disciplines, both bit-reproducible:
 
 * **bulk** (``predict_proba(dataset)``) — chunks the dataset in order
-  with the training batch size, which reproduces
-  ``Trainer.predict_proba`` bit-for-bit (same shapes, same GEMMs);
+  with the training batch size, which reproduces the training engine's
+  ``predict_proba`` bit-for-bit (same shapes, same GEMMs);
 * **fixed-shape** (``pad_to=k``) — pads every forward to exactly ``k``
   rows, making each admission's output independent of which other
   admissions shared its batch.  BLAS kernels are chosen per GEMM shape,
@@ -82,15 +82,10 @@ class Predictor:
         A module implementing the :class:`repro.nn.InferenceMixin`
         protocol (``predict_logits`` / ``predict_proba``).
     config:
-        A :class:`~repro.serve.ServeConfig`.  The fields this component
-        reads: ``batch_size`` (bulk-prediction chunk size; matching the
-        training batch size reproduces ``Trainer.predict_proba``
-        bit-for-bit), ``capture`` (route forwards through inference
-        graph capture, :func:`repro.nn.capture.trace` — ``None`` means
-        off here), and ``max_captures`` (shape budget for captured
-        graphs; bulk prediction needs two, the micro-batcher one).
-        Legacy keywords (``batch_size=``, ``capture=``,
-        ``max_captures=``) still work via a ``DeprecationWarning`` shim.
+        A :class:`~repro.serve.ServeConfig`.  The field this component
+        reads is ``batch_size``, the bulk-prediction chunk size; matching
+        the training batch size reproduces the training engine's
+        evaluation pass bit-for-bit.
     spec:
         Optional :class:`~repro.baselines.ModelSpec`; enables feature-
         count validation and round-trip introspection.  Defaults to the
@@ -100,23 +95,18 @@ class Predictor:
         batch is recorded into it.
     """
 
-    def __init__(self, model, config=None, *, spec=None, metrics=None,
-                 **legacy):
+    def __init__(self, model, config=None, *, spec=None, metrics=None):
         for method in ("predict_logits", "predict_proba"):
             if not callable(getattr(model, method, None)):
                 raise TypeError(
                     f"model {type(model).__name__} does not implement the "
                     f"inference protocol ({method}); registry models gain "
                     "it from repro.nn.InferenceMixin")
-        self.config = resolve_config(config, legacy, owner="Predictor")
+        self.config = resolve_config(config, owner="Predictor")
         self.model = model
         self.batch_size = self.config.batch_size
         self.spec = spec if spec is not None else getattr(model, "spec", None)
         self.metrics = metrics
-        self.capture = bool(self.config.capture)
-        self.max_captures = self.config.max_captures
-        self._graphs = {}
-        self._capture_broken = False
 
     # ------------------------------------------------------------------
     # Input validation
@@ -173,60 +163,13 @@ class Predictor:
             if n > pad_to:
                 raise ValueError(f"batch of {n} rows exceeds pad_to={pad_to}")
             started = perf_counter()
-            logits = self._forward(_pad_rows(batch, pad_to))[:n]
+            logits = self.model.predict_logits(_pad_rows(batch, pad_to))[:n]
         else:
             started = perf_counter()
-            logits = self._forward(batch)
+            logits = self.model.predict_logits(batch)
         if self.metrics is not None:
             self.metrics.record_batch(n, perf_counter() - started)
         return logits
-
-    def _forward(self, batch):
-        """One full-batch forward: captured replay when enabled, else eager."""
-        if self.capture:
-            from ..nn import capture as nn_capture
-
-            graph = None if self._capture_broken else self._graph_for(batch)
-            if graph is not None:
-                try:
-                    logits = graph.replay(batch)
-                except nn_capture.CaptureError:
-                    # Invalidated (parameter storage swap, dtype-policy
-                    # change): drop stale graphs; next forward re-traces.
-                    self._graphs.clear()
-                else:
-                    if self.metrics is not None:
-                        self.metrics.record_capture(hit=True)
-                    return logits
-            if self.metrics is not None:
-                self.metrics.record_capture(hit=False)
-        return self.model.predict_logits(batch)
-
-    def _graph_for(self, batch):
-        """Captured graph for this batch's shape, tracing on first use.
-
-        Returns ``None`` — eager fallback — when the model failed trace
-        validation earlier, or the shape budget is spent on other
-        shapes.  A model-level :class:`~repro.nn.capture.CaptureError`
-        (unsupported forward, replaced parameter storage) marks capture
-        broken for good rather than re-tracing every call.
-        """
-        from ..nn import capture as nn_capture
-
-        key = tuple(np.asarray(getattr(batch, f)).shape
-                    for f in nn_capture._INPUT_FIELDS)
-        graph = self._graphs.get(key)
-        if graph is not None:
-            return graph
-        if len(self._graphs) >= self.max_captures:
-            return None
-        try:
-            graph = nn_capture.trace(self.model, batch)
-        except nn_capture.CaptureError:
-            self._capture_broken = True
-            return None
-        self._graphs[key] = graph
-        return graph
 
     def predict_proba(self, batch, pad_to=None):
         """Predicted probabilities, chunked at the bulk batch size.
@@ -275,8 +218,8 @@ class Predictor:
     # Loading from run directories
     # ------------------------------------------------------------------
     @classmethod
-    def load(cls, run_dir, checkpoint="best", metrics=None, capture=None,
-             config=None, persist=True):
+    def load(cls, run_dir, checkpoint="best", metrics=None, config=None,
+             persist=True):
         """Rebuild a predictor from a training run directory.
 
         Parameters
@@ -288,12 +231,6 @@ class Predictor:
         checkpoint:
             ``"best"`` (best-on-validation; falls back to ``"last"``
             when no best snapshot exists) or ``"last"``.
-        capture:
-            ``None`` (default) restores the run directory's persisted
-            serving preference (``config.json`` → ``serve.capture``,
-            off when absent).  An explicit ``True``/``False`` both
-            applies *and persists* the choice, so later loads of the
-            same run directory keep it.
         config:
             An explicit :class:`~repro.serve.ServeConfig`, overriding
             the run directory's persisted ``serve`` block entirely —
@@ -344,26 +281,17 @@ class Predictor:
         load_weights(model, weights)
 
         persisted = ServeConfig.from_run_config(run_config)
-        if config is not None and capture is not None:
-            raise TypeError("pass either config= or capture=, not both "
-                            "(set capture on the ServeConfig)")
-        if config is not None:
-            serve_config = config
-        elif capture is not None:
-            serve_config = persisted.replace(capture=bool(capture))
-        else:
-            serve_config = persisted
-        explicit = config is not None or capture is not None
-        if persist and explicit and serve_config != persisted:
-            run_config["serve"] = serve_config.to_dict()
+        serve_config = config if config is not None else persisted
+        if persist and config is not None and config != persisted:
+            run_config["serve"] = config.to_dict()
             config_path.write_text(
                 json.dumps(run_config, indent=2, sort_keys=True) + "\n")
 
         return cls(model, serve_config, spec=spec, metrics=metrics)
 
 
-def load_predictor(run_dir, checkpoint="best", metrics=None, capture=None,
-                   config=None, persist=True):
+def load_predictor(run_dir, checkpoint="best", metrics=None, config=None,
+                   persist=True):
     """Module-level alias for :meth:`Predictor.load`."""
     return Predictor.load(run_dir, checkpoint=checkpoint, metrics=metrics,
-                          capture=capture, config=config, persist=persist)
+                          config=config, persist=persist)

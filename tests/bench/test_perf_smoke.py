@@ -9,15 +9,14 @@ deliberately conservative ~35% of the measured throughput with the
 sequence-fused scan kernels and length-bucketed batching enabled, so it
 only trips on real regressions (e.g. losing the scan or fused kernels,
 or the float32 plane silently computing in float64), not machine noise.
-See docs/PERFORMANCE.md for the floor-update protocol.
+Every lane trains in a fresh interpreter with BLAS pinned to one thread
+(``conftest.py``).  See docs/PERFORMANCE.md for the floor-update protocol.
 """
 
 import json
 from pathlib import Path
 
 import pytest
-
-from repro.bench.runner import benchmark_training
 
 pytestmark = pytest.mark.bench
 
@@ -31,7 +30,7 @@ def floor_spec():
 
 
 def test_floor_file_is_well_formed(floor_spec):
-    assert floor_spec["schema"] == "repro.bench/perf-floor-v6"
+    assert floor_spec["schema"] == "repro.bench/perf-floor-v7"
     assert floor_spec["benchmark"]["fused_scan"] is True
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
@@ -44,14 +43,13 @@ def test_floor_file_is_well_formed(floor_spec):
         for entry in lanes.values():
             assert 0 < entry["floor_steps_per_sec"] \
                 < entry["measured_steps_per_sec"]
-    capture = floor_spec["capture"]
-    assert 1.0 < capture["floor_speedup"] < capture["measured_speedup"]
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_training_throughput_above_floor(floor_spec, dtype):
+def test_training_throughput_above_floor(floor_spec, pinned_steps_per_sec,
+                                         dtype):
     spec = floor_spec["benchmark"]
-    result = benchmark_training(
+    steps_per_sec = pinned_steps_per_sec(
         model_name=spec["model"], task=spec["task"], epochs=spec["epochs"],
         num_admissions=spec["num_admissions"],
         batch_size=spec["batch_size"], seed=spec["seed"],
@@ -60,9 +58,9 @@ def test_training_throughput_above_floor(floor_spec, dtype):
         with_profiler=False, dtype=dtype)
     lane = floor_spec["dtypes"][dtype]
     floor = lane["floor_steps_per_sec"]
-    assert result["steps_per_sec"] >= floor, (
+    assert steps_per_sec >= floor, (
         f"throughput regression under {dtype}: "
-        f"{result['steps_per_sec']:.1f} steps/sec is below the recorded "
+        f"{steps_per_sec:.1f} steps/sec is below the recorded "
         f"floor of {floor:.1f} "
         f"(measured when fused: {lane['measured_steps_per_sec']:.1f}). "
         f"If this machine is genuinely slower, re-measure and update "
@@ -71,14 +69,15 @@ def test_training_throughput_above_floor(floor_spec, dtype):
 
 @pytest.mark.parametrize("model_name", ["GRU-D", "StageNet", "ConCare"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
+def test_scan_model_throughput_above_floor(floor_spec, pinned_steps_per_sec,
+                                           model_name, dtype):
     """GRU-D/StageNet route through their sequence-fused scans by default
     and ConCare always runs ``ops.perfeature_gru_scan``; dropping below
     the floor means a scan routing silently regressed to a per-step path
     (per-step float32 throughput sits under these floors — see
     BENCH_9.json and perf_floor.json's v6 note)."""
     spec = floor_spec["benchmark"]
-    result = benchmark_training(
+    steps_per_sec = pinned_steps_per_sec(
         model_name=model_name, task=spec["task"], epochs=spec["epochs"],
         num_admissions=spec["num_admissions"],
         batch_size=spec["batch_size"], seed=spec["seed"],
@@ -87,9 +86,9 @@ def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
         with_profiler=False, dtype=dtype)
     lane = floor_spec["scan_models"][model_name][dtype]
     floor = lane["floor_steps_per_sec"]
-    assert result["steps_per_sec"] >= floor, (
+    assert steps_per_sec >= floor, (
         f"{model_name} scan throughput regression under {dtype}: "
-        f"{result['steps_per_sec']:.1f} steps/sec is below the recorded "
+        f"{steps_per_sec:.1f} steps/sec is below the recorded "
         f"floor of {floor:.1f} "
         f"(measured with the scan: {lane['measured_steps_per_sec']:.1f}). "
         f"If this machine is genuinely slower, re-measure and update "

@@ -1,13 +1,13 @@
-"""ServeConfig: validation, serialization, legacy shims, persistence."""
+"""ServeConfig: validation, serialization, resolution, persistence."""
 
 import json
 import shutil
-import warnings
 
+import numpy as np
 import pytest
 
-from repro.serve import (MicroBatcher, Predictor, PreprocessCache,
-                         ServeConfig, ServeMetrics, resolve_config)
+from repro.serve import (MicroBatcher, Predictor, ServeConfig, ServeMetrics,
+                         resolve_config)
 
 pytestmark = pytest.mark.serve
 
@@ -17,13 +17,12 @@ class TestValidation:
         config = ServeConfig()
         assert config.batch_size == 64
         assert config.max_batch_size == 32
-        assert config.capture is None
         assert config.workers == 2
         assert config.deadline_ms is None
 
     @pytest.mark.parametrize("field", ["batch_size", "max_batch_size",
-                                       "cache_capacity", "max_captures",
-                                       "workers", "queue_depth"])
+                                       "cache_capacity", "workers",
+                                       "queue_depth"])
     def test_integer_fields_must_be_positive(self, field):
         with pytest.raises(ValueError, match=field):
             ServeConfig(**{field: 0})
@@ -49,8 +48,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_dict_round_trip(self):
-        config = ServeConfig(batch_size=16, capture=True, workers=3,
-                             deadline_ms=25.0)
+        config = ServeConfig(batch_size=16, workers=3, deadline_ms=25.0)
         assert ServeConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip(self):
@@ -59,10 +57,14 @@ class TestSerialization:
         assert ServeConfig.from_dict(payload) == config
 
     def test_from_dict_ignores_unknown_keys_unless_strict(self):
-        payload = {"batch_size": 8, "flux_capacitor": True}
-        assert ServeConfig.from_dict(payload).batch_size == 8
-        with pytest.raises(ValueError, match="flux_capacitor"):
+        # capture/max_captures: fields retired with inference graph
+        # capture, still present in older run directories' serve blocks.
+        payload = {"batch_size": 8, "flux_capacitor": True,
+                   "capture": True, "max_captures": 4}
+        assert ServeConfig.from_dict(payload) == ServeConfig(batch_size=8)
+        with pytest.raises(ValueError, match="flux_capacitor") as info:
             ServeConfig.from_dict(payload, strict=True)
+        assert "max_captures" in str(info.value)
 
     def test_from_run_config_reads_serve_block(self):
         config = ServeConfig.from_run_config(
@@ -79,81 +81,26 @@ class TestSerialization:
 class TestResolveConfig:
     def test_explicit_config_passes_through(self):
         config = ServeConfig(workers=7)
-        assert resolve_config(config, {}, owner="X") is config
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="cache_capacity"):
-            resolved = resolve_config(None, {"capacity": 9}, owner="X")
-        assert resolved.cache_capacity == 9
-
-    def test_unknown_legacy_kwarg_is_a_type_error(self):
-        with pytest.raises(TypeError, match="banana"):
-            resolve_config(None, {"banana": 1}, owner="X")
-
-    def test_config_plus_legacy_is_ambiguous(self):
-        with pytest.raises(TypeError, match="both"):
-            resolve_config(ServeConfig(), {"batch_size": 8}, owner="X")
+        assert resolve_config(config, owner="X") is config
 
     def test_non_serveconfig_config_is_a_type_error(self):
         with pytest.raises(TypeError, match="ServeConfig"):
-            resolve_config({"batch_size": 8}, {}, owner="X")
+            resolve_config({"batch_size": 8}, owner="X")
 
     def test_base_seeds_defaults(self):
         base = ServeConfig(max_batch_size=4)
-        assert resolve_config(None, {}, owner="X", base=base) == base
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_config(None, {"max_wait_ms": 9.0}, owner="X",
-                                      base=base)
-        assert resolved.max_batch_size == 4
-        assert resolved.max_wait_ms == 9.0
+        assert resolve_config(None, owner="X", base=base) == base
+        assert resolve_config(None, owner="X") == ServeConfig()
 
 
 class TestDeprecatedComponentKwargs:
-    """Old per-component keywords keep working, with a warning."""
-
-    def test_predictor_batch_size_kwarg(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            predictor = Predictor(trainer.model, batch_size=8)
-        assert predictor.batch_size == 8
-        assert predictor.config.batch_size == 8
-
-    def test_predictor_capture_kwarg(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.warns(DeprecationWarning, match="capture"):
-            predictor = Predictor(trainer.model, capture=True,
-                                  max_captures=2)
-        assert predictor.capture is True
-        assert predictor.max_captures == 2
-
-    def test_batcher_legacy_kwargs(self, trained_run):
-        trainer, _ = trained_run
-        predictor = Predictor(trainer.model)
-        with pytest.warns(DeprecationWarning, match="max_batch_size"):
-            batcher = MicroBatcher(predictor, max_batch_size=8,
-                                   max_wait_ms=1.0)
-        assert batcher.max_batch_size == 8
-        assert batcher.max_wait_ms == 1.0
+    """Components without an explicit config inherit one."""
 
     def test_batcher_inherits_predictor_config(self, trained_run):
         trainer, _ = trained_run
         predictor = Predictor(trainer.model,
                               ServeConfig(max_batch_size=5))
         assert MicroBatcher(predictor).max_batch_size == 5
-
-    def test_cache_capacity_kwarg(self, serve_splits):
-        with pytest.warns(DeprecationWarning, match="cache_capacity"):
-            cache = PreprocessCache(serve_splits.standardizer, capacity=3)
-        assert cache.capacity == 3
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                PreprocessCache(serve_splits.standardizer, capacity=0)
-
-    def test_config_and_legacy_together_raise(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.raises(TypeError, match="both"):
-            Predictor(trainer.model, ServeConfig(), batch_size=8)
 
 
 class TestRunDirPersistence:
@@ -190,15 +137,20 @@ class TestRunDirPersistence:
         assert predictor.config.workers == 9
         assert (run_copy / "config.json").read_text() == before
 
-    def test_capture_flag_still_persists(self, run_copy):
-        Predictor.load(run_copy, capture=True)
-        assert Predictor.load(run_copy).capture is True
-        Predictor.load(run_copy, capture=False)
-        assert Predictor.load(run_copy).capture is False
-
-    def test_config_and_capture_together_raise(self, run_copy):
-        with pytest.raises(TypeError, match="config"):
-            Predictor.load(run_copy, config=ServeConfig(), capture=True)
+    def test_run_dir_with_retired_capture_keys_still_loads(
+            self, run_copy, trained_run, serve_splits):
+        """A serve block written while graph capture existed still
+        serves the training engine's validation scores bit for bit."""
+        trainer, _ = trained_run
+        config_path = run_copy / "config.json"
+        payload = json.loads(config_path.read_text())
+        payload["serve"] = {"batch_size": payload["batch_size"],
+                            "capture": True, "max_captures": 4}
+        config_path.write_text(json.dumps(payload))
+        served = Predictor.load(run_copy).predict_proba(
+            serve_splits.validation)
+        reference = trainer.engine.predict_proba(serve_splits.validation)
+        np.testing.assert_array_equal(served, reference)
 
     def test_loaded_config_drives_components(self, run_copy):
         config = ServeConfig(max_batch_size=6, cache_capacity=2)

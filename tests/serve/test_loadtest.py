@@ -61,7 +61,7 @@ class TestReportSchema:
         path = Path(smoke_report["report_path"])
         assert path.name.startswith("SERVE_smoke_")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro.serve/v2"
+        assert payload["schema"] == "repro.serve/v3"
         assert payload["extra"]["loadtest"]["schema"] == "repro.loadtest/v1"
         # Worker-side batch accounting merged into the parent report.
         assert payload["batches"] >= 1
@@ -106,17 +106,6 @@ class TestConfigResolution:
         assert config.workers == 3
         assert config.queue_depth == 7
         assert config.batch_size == 16
-
-    def test_legacy_kwargs_overlay_the_persisted_block(
-            self, persisted_run_dir, monkeypatch):
-        captured, stop = self._capture_pool_config(monkeypatch)
-        with pytest.warns(DeprecationWarning, match="workers"):
-            with pytest.raises(stop):
-                run_loadtest(persisted_run_dir, num_requests=1,
-                             num_streams=1, stream_steps=1, workers=5)
-        config = captured["config"]
-        assert config.workers == 5
-        assert config.queue_depth == 7  # persisted value survives
 
     def test_explicit_config_wins_outright(self, persisted_run_dir,
                                            monkeypatch):

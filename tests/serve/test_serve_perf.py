@@ -20,7 +20,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.data import NUM_FEATURES, SyntheticEMRGenerator, build_dataset
-from repro.serve import MicroBatcher, Predictor, ServeMetrics
+from repro.serve import MicroBatcher, Predictor, ServeConfig, ServeMetrics
 
 pytestmark = [pytest.mark.serve, pytest.mark.bench]
 
@@ -65,9 +65,9 @@ def test_micro_batching_speedup_above_floor(floor_spec):
     requests = load["requests"]
     metrics = ServeMetrics("perf")
     batched_predictor = Predictor(model, metrics=metrics)
-    with MicroBatcher(batched_predictor,
-                      max_batch_size=load["max_batch_size"],
-                      max_wait_ms=load["max_wait_ms"],
+    config = ServeConfig(max_batch_size=load["max_batch_size"],
+                         max_wait_ms=load["max_wait_ms"])
+    with MicroBatcher(batched_predictor, config,
                       metrics=metrics) as batcher:
         started = perf_counter()
 

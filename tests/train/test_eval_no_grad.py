@@ -1,6 +1,6 @@
 """The evaluation path must not build autodiff graph state.
 
-``Trainer.predict_proba`` / ``Trainer.evaluate`` run the whole forward
+``Engine.predict_proba`` / ``Trainer.evaluate`` run the whole forward
 pass under ``no_grad``: no op output may be wired into the graph
 (``requires_grad=True``) and no backward closure may ever fire.  The
 per-op profiler counts exactly those events (``grad_graph_outputs``,
@@ -40,7 +40,7 @@ def test_evaluate_builds_no_grad_graph(trainer, splits):
 
 def test_predict_proba_builds_no_grad_graph(trainer, splits):
     with profile() as prof:
-        probs = trainer.predict_proba(splits.validation)
+        probs = trainer.engine.predict_proba(splits.validation)
     assert prof.forward_calls() > 0
     assert prof.grad_graph_outputs == 0
     assert probs.shape == (len(splits.validation),)
@@ -63,5 +63,5 @@ def test_predict_proba_restores_mode(splits, was_training):
     model = build_model("GRU", NUM_FEATURES, np.random.default_rng(5))
     trainer = Trainer(model, "mortality", batch_size=8)
     model.train(was_training)
-    trainer.predict_proba(splits.validation)
+    trainer.engine.predict_proba(splits.validation)
     assert model.training is was_training
