@@ -16,7 +16,7 @@ ELDA's β with Dipole_c's weights).
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -6,7 +6,7 @@ imputed sequence; the last hidden state feeds a linear head.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..data.batching import sequence_lengths

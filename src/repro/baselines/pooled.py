@@ -13,7 +13,7 @@ mean over time of each feature's values — a 37-dimensional static vector.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

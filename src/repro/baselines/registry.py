@@ -12,7 +12,7 @@ every model it builds (``model.spec``).
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..core.elda_net import VARIANT_NAMES, build_variant
 from .concare import ConCare

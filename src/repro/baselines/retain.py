@@ -8,7 +8,7 @@ doubly weighted sum of visit embeddings.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -12,7 +12,7 @@ are summarized into M pseudo-timestamps with fixed triangular weights
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -16,6 +16,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["ModelSpec"]
 
 
@@ -73,7 +75,6 @@ class ModelSpec:
         overwritten by a checkpoint load anyway (the serving path), it
         may be omitted.
         """
-        from ..nn.backend import xp as np
         from .registry import build_model
         if rng is None:
             rng = np.random.default_rng(0)

@@ -19,7 +19,7 @@ reference path.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .nn.backend import xp as np
+import numpy as np
 
 __all__ = ["main", "build_parser"]
 

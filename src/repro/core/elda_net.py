@@ -24,7 +24,7 @@ Use :func:`build_variant` to construct any of them by paper name.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn.dtype import get_default_dtype

@@ -23,7 +23,7 @@ The ablation variants from Section V-C are provided as drop-in classes:
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

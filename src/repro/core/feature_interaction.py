@@ -22,7 +22,7 @@ paper visualizes in Figures 9–10.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data.schema import NUM_FEATURES
 from ..nn.serialization import load_weights, save_weights

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..data.dataset import iterate_batches

@@ -8,7 +8,7 @@ phenotyping.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops

@@ -15,7 +15,7 @@ weights are the time-level interpretability signal of Figure 8.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..nn import ops
@@ -73,6 +73,9 @@ class TimeInteractionModule(Module):
         with) — the streaming session keeps the buffered observation and
         serves it once a second step arrives.
         """
+        if states.shape[1] < 2:
+            raise ValueError("time interaction needs at least two time "
+                             f"steps, got {states.shape[1]}")
         last = states[:, -1, :]                        # h_T
         earlier = states[:, :-1, :]                    # h_1..h_{T-1}
         interactions = earlier * last.reshape(-1, 1, self.hidden_size)

@@ -15,7 +15,7 @@ The paper's qualitative claims the harness checks:
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..core.interpret import cohort_time_attention

@@ -18,7 +18,7 @@ The harness checks the paper's two quantitative reads:
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..core.interpret import feature_attention_at, modify_feature_to_normal
 from .config import default_config

@@ -6,7 +6,7 @@ subject "Patient A" preprocessed exactly like the training cohort.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data import load_cohort, make_patient_a
 from ..data.preprocess import clean_values, impute

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..baselines import ModelSpec, build_model
 from ..data import NUM_FEATURES, load_cohort

@@ -7,7 +7,7 @@ feature count, and missing rate without imputation.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data import PROFILES, build_dataset
 from .formatting import format_metric, render_table

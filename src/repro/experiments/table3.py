@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..baselines import BASELINE_NAMES, build_model

@@ -12,7 +12,7 @@ complement the paper's discrimination metrics (AUC-ROC / AUC-PR):
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 __all__ = ["brier_score", "expected_calibration_error", "reliability_curve"]
 

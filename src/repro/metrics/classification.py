@@ -12,7 +12,7 @@ paper compares against.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 __all__ = ["auc_roc", "auc_pr", "bce_loss", "accuracy", "f1_score",
            "precision_recall_curve", "roc_curve", "bootstrap_metric",

@@ -8,7 +8,7 @@ the engine's evaluation path and any reporting code agree bit-for-bit.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 __all__ = ["softmax_probs", "sigmoid_probs", "multiclass_ce",
            "evaluate_multiclass"]

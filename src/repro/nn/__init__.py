@@ -12,9 +12,7 @@ primitive in :mod:`repro.nn.ops` is registered with sample inputs that an
 exhaustive test sweep gradchecks mechanically (see docs/CORRECTNESS.md).
 """
 
-from . import backend, debug, dtype, gradcheck, init, losses, ops, \
-    schedules
-from .backend import available_backends, get_backend, set_backend
+from . import debug, dtype, gradcheck, init, losses, ops, schedules
 from .debug import AnomalyError, audit_backward, detect_anomaly
 from .dtype import autocast, get_default_dtype, set_default_dtype
 from .gradcheck import GradcheckFailure, check_module
@@ -32,7 +30,5 @@ __all__ = [
     "save_weights", "load_weights", "save_state", "load_state",
     "detect_anomaly", "AnomalyError", "audit_backward",
     "check_module", "GradcheckFailure",
-    "get_backend", "set_backend", "available_backends",
     "ops", "init", "losses", "schedules", "gradcheck", "debug", "dtype",
-    "backend",
 ]

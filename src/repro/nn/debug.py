@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import xp as np
+import numpy as np
 
 from . import tensor as _tensor_mod
 from .tensor import Tensor

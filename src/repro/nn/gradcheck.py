@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import xp as np
+import numpy as np
 
 from .dtype import autocast
 from .tensor import Tensor, no_grad

@@ -21,7 +21,7 @@ training-time validation scores and served scores agree bit-for-bit.
 
 from __future__ import annotations
 
-from .backend import xp as np
+import numpy as np
 
 from .dtype import get_default_dtype
 from .tensor import no_grad

@@ -10,7 +10,7 @@ once to the policy default dtype on the way out.
 
 from __future__ import annotations
 
-from .backend import xp as np
+import numpy as np
 
 from .dtype import get_default_dtype
 

@@ -14,7 +14,7 @@ Provides the attention building blocks used across the baselines:
 
 from __future__ import annotations
 
-from ..backend import xp as np
+import numpy as np
 
 from .. import init, ops
 from ..module import Module, Parameter

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..backend import xp as np
+import numpy as np
 
 from .. import init, ops
 from ..module import Module, Parameter

@@ -12,7 +12,7 @@ paths together in both dtype planes.
 
 from __future__ import annotations
 
-from ..backend import xp as np
+import numpy as np
 
 from .. import init, ops
 from ..dtype import get_default_dtype

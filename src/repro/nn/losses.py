@@ -8,7 +8,7 @@ from logits (the numerically preferred form used by the trainer).
 
 from __future__ import annotations
 
-from .backend import xp as np
+import numpy as np
 
 from . import ops
 from .tensor import Tensor, as_tensor

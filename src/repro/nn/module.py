@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from collections import OrderedDict
 
-from .backend import xp as np
+import numpy as np
 
 from .tensor import Tensor
 

@@ -45,7 +45,7 @@ import builtins
 import functools
 from collections import OrderedDict
 
-from .backend import xp as np
+import numpy as np
 
 from ..bench import _hooks as _bench_hooks
 from .tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast

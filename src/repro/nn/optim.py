@@ -7,7 +7,7 @@ numpy math (no graph is recorded).
 
 from __future__ import annotations
 
-from .backend import xp as np
+import numpy as np
 
 __all__ = ["Optimizer", "SGD", "Adam", "RMSProp", "clip_grad_norm"]
 

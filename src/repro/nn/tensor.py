@@ -33,7 +33,7 @@ every gradient-buffer birth/death to report peak live gradient bytes.
 
 from __future__ import annotations
 
-from .backend import xp as np
+import numpy as np
 
 from ..bench import _hooks as _bench_hooks
 from .dtype import get_default_dtype

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data.dataset import EMRDataset
 from ..data.preprocess import clean_values, impute, observation_deltas

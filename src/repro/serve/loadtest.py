@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from time import perf_counter
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .config import ServeConfig, resolve_config
 from .metrics import ServeMetrics

@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from ..nn.backend import xp as np
+import numpy as np
 
 __all__ = ["ServeMetrics"]
 

@@ -32,7 +32,7 @@ import json
 from pathlib import Path
 from time import perf_counter
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data.dataset import EMRDataset
 from .config import ServeConfig, resolve_config

@@ -48,7 +48,7 @@ import threading
 from collections import OrderedDict
 from time import perf_counter
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from ..data.dataset import EMRDataset
 from ..nn.dtype import get_default_dtype

@@ -29,7 +29,7 @@ import json
 import time
 import warnings
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 

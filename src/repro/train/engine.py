@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .. import nn
 from ..data.dataset import iterate_batches

@@ -19,7 +19,7 @@ training loop.  See docs/ARCHITECTURE.md.
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
+import numpy as np
 
 from .callbacks import (AnomalyGuard, BatchTimer, Checkpointer,
                         EarlyStopping, JSONLLogger, LRSchedulerCallback)

@@ -81,3 +81,7 @@ class TestProperties:
                            return_attention=True)
         assert out.shape == (1, 2 * H)
         assert np.allclose(beta.data, 1.0)  # single earlier step gets all
+
+    def test_single_step_names_the_cause(self, module, rng):
+        with pytest.raises(ValueError, match="at least two"):
+            module(nn.Tensor(rng.normal(size=(2, 1, IN))))
